@@ -48,14 +48,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..network.graph import SensorNetwork
 from .coarse import CoarseSkeleton, SkeletonEdge
 from .params import LoopStrategy, SkeletonParams
 from .voronoi import SitePair, VoronoiDecomposition
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = [
     "Loop",
@@ -66,6 +70,7 @@ __all__ = [
     "enclosed_interior",
     "simplify_closed_walk",
     "site_cycle_rings",
+    "SiteGraph",
 ]
 
 
@@ -299,6 +304,217 @@ def enclosed_interior(
 # Site-level cycle family (ordered, independent, tight)
 # ---------------------------------------------------------------------------
 
+def _bidirectional_dijkstra(adj: Dict[int, Dict[int, float]], source: int,
+                            target: int) -> Tuple[Optional[List[int]], List[int]]:
+    """``networkx.bidirectional_dijkstra`` over plain weighted adjacency.
+
+    A port that keeps networkx's ``(dist, counter, node)`` heap keys and
+    reads neighbours in dict order, so equal-weight ties resolve to the
+    same path.  Returns the path (``None`` when there is none) and the
+    nodes whose adjacency the search read, in expansion order.
+    """
+    if source == target:
+        return [source], []
+    dists: Tuple[dict, dict] = ({}, {})
+    preds: Tuple[dict, dict] = ({source: None}, {target: None})
+    seen: Tuple[dict, dict] = ({source: 0}, {target: 0})
+    fringe: Tuple[list, list] = ([(0, 0, source)], [(0, 1, target)])
+    counter = count(2)
+    finaldist = None
+    meetnode = None
+    expanded: List[int] = []
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done = dists[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in dists[1 - direction]:
+            path: List[int] = []
+            node = meetnode
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meetnode]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path, expanded
+        expanded.append(v)
+        heap, pred = fringe[direction], preds[direction]
+        seen_here, seen_there = seen[direction], seen[1 - direction]
+        for w, cost in adj[v].items():
+            length = dist + cost
+            if w in done:
+                continue
+            if w not in seen_here or length < seen_here[w]:
+                seen_here[w] = length
+                heappush(heap, (length, next(counter), w))
+                pred[w] = v
+                if w in seen_there:
+                    total = length + seen_there[w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+    return None, expanded
+
+
+class SiteGraph:
+    """The weighted site graph of stage 4, with incremental ring search.
+
+    ``adj`` maps each node to ``{neighbour: weight}`` in the same dict
+    order a ``networkx.Graph`` would hold.  :meth:`rings` is the
+    Horton-style family :func:`site_cycle_rings` documents; it removes and
+    re-adds each edge around its search like the networkx loop did, so
+    every node's neighbour order (and with it every tie-break) follows the
+    same history.
+
+    Between passes only :meth:`remove_edge` changes the graph, and a
+    search result from the previous pass is reused unless a removed edge
+    touches a node the search expanded (see DESIGN.md, "Stage-4 ring
+    reuse").  Results of the first pass, whose starting neighbour order is
+    arbitrary, are instead reused only when every expanded node's
+    neighbours, in order, equal a snapshot taken at search time.
+    """
+
+    def __init__(self, adj: Dict[int, Dict[int, float]]):
+        self.adj = adj
+        # edge -> (ring or None, edge mask, total weight, expanded nodes,
+        # first-pass adjacency snapshot or None)
+        self._searches: Dict[Tuple[int, int], tuple] = {}
+        self._touched: Set[int] = set()
+        self._canonical = False
+        self._bit: Optional[Dict[FrozenSet[int], int]] = None
+
+    @classmethod
+    def from_pair_paths(cls, sites: Iterable[int],
+                        pair_paths: Dict[SitePair, List[int]]) -> "SiteGraph":
+        """Sites joined by their pair paths, weighted by path hop length."""
+        adj: Dict[int, Dict[int, float]] = {site: {} for site in sites}
+        for (a, b), path in pair_paths.items():
+            weight = max(len(path) - 1, 1)
+            adj.setdefault(a, {})[b] = weight
+            adj.setdefault(b, {})[a] = weight
+        return cls(adj)
+
+    def edges(self) -> List[Tuple[int, int]]:
+        """Every edge once, in ``networkx.Graph.edges()`` order."""
+        out: List[Tuple[int, int]] = []
+        done: Set[int] = set()
+        for u, nbrs in self.adj.items():
+            out.extend((u, v) for v in nbrs if v not in done)
+            done.add(u)
+        return out
+
+    def number_of_edges(self) -> int:
+        return len(self.edges())
+
+    def remove_edge(self, u: int, v: int) -> None:
+        del self.adj[u][v]
+        self.adj[v].pop(u, None)
+        self._touched.update((u, v))
+
+    def _components(self) -> int:
+        found: Set[int] = set()
+        components = 0
+        for start in self.adj:
+            if start in found:
+                continue
+            components += 1
+            found.add(start)
+            stack = [start]
+            while stack:
+                for w in self.adj[stack.pop()]:
+                    if w not in found:
+                        found.add(w)
+                        stack.append(w)
+        return components
+
+    def _search(self, u: int, v: int, weight: float) -> tuple:
+        """The ring closed by edge (u, v), searched while (u, v) is out."""
+        adj = self.adj
+        entry = self._searches.get((u, v))
+        if entry is not None:
+            expanded, snapshot = entry[3], entry[4]
+            if snapshot is None:
+                if expanded.isdisjoint(self._touched):
+                    return entry
+            elif all(tuple(adj[x].items()) == items
+                     for x, items in snapshot.items()):
+                entry = entry[:4] + (None,)
+                self._searches[(u, v)] = entry
+                return entry
+        path, order = _bidirectional_dijkstra(adj, u, v)
+        mask = total = 0
+        if path is not None and len(path) >= 3:
+            for a, b in zip(path, path[1:]):
+                mask ^= self._bit[frozenset((a, b))]
+                total += adj[a][b]
+            mask ^= self._bit[frozenset((v, u))]
+            total += weight  # the closing edge, out of adj during the search
+        else:
+            path = None
+        snapshot = (
+            None if self._canonical
+            else {x: tuple(adj[x].items()) for x in order}
+        )
+        entry = (path, mask, total, frozenset(order), snapshot)
+        self._searches[(u, v)] = entry
+        return entry
+
+    def rings(self) -> List[List[int]]:
+        """An independent family of ordered tight cycles, cheapest first."""
+        adj = self.adj
+        edges = self.edges()
+        if not edges:
+            return []
+        if self._bit is None:
+            # Removals keep the relative order of the remaining edges, and
+            # the GF(2) filter below depends on bit order only, so bits
+            # fixed now give the rings a per-pass edge index would.
+            self._bit = {frozenset(e): 1 << i for i, e in enumerate(edges)}
+        rank_target = len(edges) - len(adj) + self._components()
+        if rank_target <= 0:
+            return []
+
+        candidates: List[Tuple[float, List[int], int]] = []
+        seen_signatures: Set[int] = set()
+        for u, v in edges:
+            weight = adj[u].pop(v)
+            adj[v].pop(u, None)
+            path, mask, total, _, _ = self._search(u, v, weight)
+            adj[u][v] = weight  # re-added at the end, as networkx would
+            adj[v][u] = weight
+            if path is None or mask in seen_signatures:
+                continue
+            seen_signatures.add(mask)
+            candidates.append((total, path, mask))
+        # Every edge has been re-added once, leaving each node's neighbours
+        # in the canonical order later passes keep.
+        self._canonical = True
+        self._touched.clear()
+        candidates.sort(key=lambda item: (item[0], item[1]))
+
+        basis: List[Tuple[int, int]] = []
+        rings: List[List[int]] = []
+        for _, ring, mask in candidates:
+            reduced = mask
+            for top, bm in basis:
+                # min(reduced, reduced ^ bm): xor exactly when it clears
+                # bm's highest bit from reduced.
+                if reduced & top:
+                    reduced ^= bm
+            if reduced == 0:
+                continue
+            basis.append((1 << (mask.bit_length() - 1), mask))
+            rings.append(list(ring))
+            if len(rings) >= rank_target:
+                break
+        return rings
+
+
 def site_cycle_rings(graph: "nx.Graph") -> List[List[int]]:
     """An independent family of ordered tight cycles, cheapest first.
 
@@ -307,60 +523,12 @@ def site_cycle_rings(graph: "nx.Graph") -> List[List[int]]:
     total weight and greedily reduced to a GF(2)-independent set over edge
     incidence vectors.  Unlike ``networkx.minimum_cycle_basis`` this yields
     *ordered* rings, so each element can be realized and classified.
+    Edges without a ``weight`` attribute weigh 1; *graph* is not modified.
     """
-    edges = list(graph.edges())
-    if not edges:
-        return []
-    edge_index = {frozenset(e): i for i, e in enumerate(edges)}
-    rank_target = (
-        graph.number_of_edges() - graph.number_of_nodes()
-        + nx.number_connected_components(graph)
-    )
-    if rank_target <= 0:
-        return []
-
-    candidates: List[Tuple[float, List[int]]] = []
-    seen_signatures: Set[int] = set()
-    for u, v in edges:
-        weight = graph[u][v].get("weight", 1)
-        graph.remove_edge(u, v)
-        try:
-            path = nx.shortest_path(graph, u, v, weight="weight")
-        except nx.NetworkXNoPath:
-            path = None
-        graph.add_edge(u, v, weight=weight)
-        if path is None or len(path) < 3:
-            continue
-        ring = list(path)  # u .. v, closed by the (u, v) edge
-        mask = 0
-        for i in range(len(ring)):
-            mask ^= 1 << edge_index[frozenset((ring[i], ring[(i + 1) % len(ring)]))]
-        if mask in seen_signatures:
-            continue
-        seen_signatures.add(mask)
-        total = sum(
-            graph[ring[i]][ring[(i + 1) % len(ring)]].get("weight", 1)
-            for i in range(len(ring))
-        )
-        candidates.append((total, ring))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-
-    basis_masks: List[int] = []
-    rings: List[List[int]] = []
-    for _, ring in candidates:
-        mask = 0
-        for i in range(len(ring)):
-            mask ^= 1 << edge_index[frozenset((ring[i], ring[(i + 1) % len(ring)]))]
-        reduced = mask
-        for bm in basis_masks:
-            reduced = min(reduced, reduced ^ bm)
-        if reduced == 0:
-            continue
-        basis_masks.append(mask)
-        rings.append(ring)
-        if len(rings) >= rank_target:
-            break
-    return rings
+    return SiteGraph({
+        u: {v: data.get("weight", 1) for v, data in nbrs.items()}
+        for u, nbrs in graph.adj.items()
+    }).rings()
 
 
 def _realize_site_ring(pair_paths: Dict[SitePair, List[int]],
@@ -512,21 +680,22 @@ def identify_loops(
         tracer=tracer,
     )
 
-    graph = nx.Graph()
-    graph.add_nodes_from(skeleton.sites)
-    for pair, path in skeleton.pair_paths.items():
-        graph.add_edge(pair[0], pair[1], weight=max(len(path) - 1, 1))
+    graph = SiteGraph.from_pair_paths(skeleton.sites, skeleton.pair_paths)
 
     removed_pairs: Set[SitePair] = set()
     fake_records: List[Loop] = []
     max_iterations = graph.number_of_edges() + 1
+    realized: Dict[Tuple[int, ...], Optional[List[int]]] = {}
 
     for _ in range(max_iterations):
-        rings = site_cycle_rings(graph)
+        rings = graph.rings()
         opened = False
         genuine_rings: List[Tuple[List[int], List[int], float]] = []
         for site_ring in rings:
-            ordered = _realize_site_ring(skeleton.pair_paths, site_ring)
+            key = tuple(site_ring)
+            if key not in realized:  # rings recur across iterations
+                realized[key] = _realize_site_ring(skeleton.pair_paths, site_ring)
+            ordered = realized[key]
             if ordered is None:
                 continue
             is_fake, witnesses, ratio = classifier.classify(site_ring, ordered)

@@ -24,7 +24,7 @@ import numpy as np
 from ..network.graph import SensorNetwork, UNREACHED
 from .params import SkeletonParams
 
-__all__ = ["VoronoiDecomposition", "build_voronoi",
+__all__ = ["VoronoiDecomposition", "build_voronoi", "records_from_candidates",
            "records_to_structures", "border_edges_from_cells"]
 
 SitePair = Tuple[int, int]
@@ -172,6 +172,20 @@ def border_edges_from_cells(
     return pair_border_edges
 
 
+def records_from_candidates(num_nodes: int, node: np.ndarray,
+                            site: np.ndarray, dist: np.ndarray,
+                            ) -> List[List[Tuple[int, int]]]:
+    """Per-node record lists from kept ``(node, site, dist)`` candidates.
+
+    Each node's ``(site, dist)`` records come sorted by ``(dist, site)``,
+    as plain ints; a node without candidates gets an empty record.
+    """
+    order = np.lexsort((site, dist, node))
+    bounds = np.searchsorted(node[order], np.arange(num_nodes + 1)).tolist()
+    pairs = list(zip(site[order].tolist(), dist[order].tolist()))
+    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def build_voronoi(network: SensorNetwork, sites: Sequence[int],
                   params: Optional[SkeletonParams] = None,
                   cache=None, tracer=None) -> VoronoiDecomposition:
@@ -212,25 +226,13 @@ def build_voronoi(network: SensorNetwork, sites: Sequence[int],
     else:
         dist, parent = network.multi_source_distances(sites)
 
-    n = network.num_nodes
-    records: List[List[Tuple[int, int]]] = []
-    for node in range(n):
-        column = dist[:, node]
-        reachable = [
-            (int(column[si]), sites[si])
-            for si in range(len(sites))
-            if column[si] != UNREACHED
-        ]
-        if not reachable:
-            # Disconnected from every site (cannot happen on a connected
-            # network, which generators guarantee).
-            records.append([])
-            continue
-        best = min(d for d, _ in reachable)
-        records.append(sorted(
-            [(site, d) for d, site in reachable if d - best <= params.alpha],
-            key=lambda item: (item[1], item[0]),
-        ))
+    reach = dist != UNREACHED
+    best = dist.min(axis=0, initial=np.iinfo(dist.dtype).max, where=reach)
+    site_row, node = np.nonzero(reach & (dist - best <= params.alpha))
+    records = records_from_candidates(
+        network.num_nodes, node, np.asarray(sites)[site_row],
+        dist[site_row, node],
+    )
 
     cell_of, segment_nodes, voronoi_nodes, pair_segments = \
         records_to_structures(records)

@@ -140,9 +140,9 @@ def approximate_medial_axis(
     box = field.bounding_box()
     xs = np.arange(box.min_x + grid_spacing / 2, box.max_x, grid_spacing)
     ys = np.arange(box.min_y + grid_spacing / 2, box.max_y, grid_spacing)
-    grid = [Point(float(x), float(y)) for y in ys for x in xs]
-    interior = [p for p in grid if field.contains(p)]
-    if not interior:
+    grid_x, grid_y = (g.ravel() for g in np.meshgrid(xs, ys))
+    inside = field.contains_points(grid_x, grid_y)
+    if not inside.any():
         return MedialAxisApproximation(
             points=np.empty((0, 2)),
             clearances=np.empty(0),
@@ -150,7 +150,7 @@ def approximate_medial_axis(
             grid_spacing=grid_spacing,
         )
 
-    interior_arr = np.array([[p.x, p.y] for p in interior])
+    interior_arr = np.column_stack((grid_x[inside], grid_y[inside]))
     d1s, idx1 = boundary_tree.query(interior_arr)
 
     medial_rows: List[int] = []

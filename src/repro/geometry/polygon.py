@@ -6,7 +6,8 @@ The paper deploys sensors inside irregular 2-D regions — possibly with holes
 simple polygon plus zero or more hole polygons, and provides the geometric
 queries the rest of the library needs:
 
-* membership (point-in-region, respecting holes),
+* membership (point-in-region, respecting holes), per point or for a
+  numpy batch of points,
 * distance to the boundary ``∂D`` (the Euclidean distance transform used by
   Theorems 1–3 and the medial-axis ground truth),
 * uniform random sampling (sensor deployment),
@@ -21,6 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .primitives import (
     BoundingBox,
     Point,
@@ -30,6 +33,12 @@ from .primitives import (
 )
 
 __all__ = ["Ring", "Field"]
+
+# Points closer than this to a ring edge skip the batch kernel and take the
+# scalar test, whose own boundary tolerance is 1e-9.
+_NEAR_EDGE = 1e-6
+# Point x edge cells per numpy block in the batch kernel.
+_BLOCK_CELLS = 1 << 16
 
 
 class Ring:
@@ -100,6 +109,41 @@ class Ring:
                     inside = not inside
             j = i
         return inside or self.distance_to_boundary(p) < 1e-9
+
+    def _parity_and_near(self, xs: np.ndarray,
+                         ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Batch form of :meth:`contains`' crossing loop, plus a near flag.
+
+        The parity repeats the scalar crossing formula operation for
+        operation, so it matches :meth:`contains` bit for bit wherever the
+        boundary tolerance does not decide; ``near`` marks the points within
+        ``_NEAR_EDGE`` of an edge, where it may.
+        """
+        ax = np.array([v.x for v in self.vertices], dtype=float)
+        ay = np.array([v.y for v in self.vertices], dtype=float)
+        bx, by = np.roll(ax, 1), np.roll(ay, 1)  # edge i runs from i - 1 to i
+        dx, dy = bx - ax, by - ay
+        length_sq = dx * dx + dy * dy
+        length_sq[length_sq == 0.0] = 1.0  # a zero-length edge: t = 0
+        parity = np.zeros(len(xs), dtype=bool)
+        near = np.zeros(len(xs), dtype=bool)
+        step = max(1, _BLOCK_CELLS // len(ax))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, len(xs), step):
+                px = xs[lo:lo + step, None]
+                py = ys[lo:lo + step, None]
+                straddles = (ay > py) != (by > py)
+                x_cross = dx * (py - ay) / dy + ax
+                parity[lo:lo + step] = (
+                    np.count_nonzero(straddles & (px < x_cross), axis=1) & 1
+                ).astype(bool)
+                t = np.clip(((px - ax) * dx + (py - ay) * dy) / length_sq, 0.0, 1.0)
+                gap_x = px - (ax + t * dx)
+                gap_y = py - (ay + t * dy)
+                near[lo:lo + step] = (
+                    gap_x * gap_x + gap_y * gap_y < _NEAR_EDGE * _NEAR_EDGE
+                ).any(axis=1)
+        return parity, near
 
     def distance_to_boundary(self, p: Point) -> float:
         """Shortest distance from *p* to any edge of the ring."""
@@ -178,6 +222,25 @@ class Field:
                 return False
         return True
 
+    def contains_points(self, xs, ys) -> np.ndarray:
+        """:meth:`contains` for a batch of points, as a boolean array.
+
+        Away from the boundary the answer is the outer ring's crossing
+        parity with every hole's parity removed; points within
+        ``_NEAR_EDGE`` of any ring edge take the scalar :meth:`contains`,
+        so every answer equals the scalar one.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        inside, near = self.outer._parity_and_near(xs, ys)
+        for hole in self.holes:
+            in_hole, near_hole = hole._parity_and_near(xs, ys)
+            inside &= ~in_hole
+            near |= near_hole
+        for i in np.flatnonzero(near):
+            inside[i] = self.contains(Point(float(xs[i]), float(ys[i])))
+        return inside
+
     def distance_to_boundary(self, p: Point) -> float:
         """Distance from *p* to ``∂D`` — the Euclidean distance transform.
 
@@ -219,18 +282,22 @@ class Field:
         attempts = 0
         max_attempts = max(10_000, 1000 * n)
         while len(points) < n:
-            attempts += 1
-            if attempts > max_attempts:
+            if attempts >= max_attempts:
                 raise RuntimeError(
-                    f"rejection sampling failed after {attempts} attempts; "
+                    f"rejection sampling failed after {attempts + 1} attempts; "
                     "is the field area vanishingly small?"
                 )
-            p = Point(
-                rng.uniform(box.min_x, box.max_x),
-                rng.uniform(box.min_y, box.max_y),
-            )
-            if self.contains(p):
-                points.append(p)
+            # A batch never holds more candidates than points still missing,
+            # so the draws (and the rng state afterwards) are exactly those
+            # of testing one candidate at a time.
+            batch = min(n - len(points), max_attempts - attempts)
+            attempts += batch
+            xs, ys = [], []
+            for _ in range(batch):
+                xs.append(rng.uniform(box.min_x, box.max_x))
+                ys.append(rng.uniform(box.min_y, box.max_y))
+            for i in np.flatnonzero(self.contains_points(xs, ys)):
+                points.append(Point(xs[i], ys[i]))
         return points
 
     def sample_grid(self, spacing: float, jitter: float = 0.0,

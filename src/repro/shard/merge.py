@@ -25,6 +25,7 @@ from ..core.voronoi import (
     SitePair,
     VoronoiDecomposition,
     border_edges_from_cells,
+    records_from_candidates,
     records_to_structures,
 )
 from ..network.graph import UNREACHED, SensorNetwork
@@ -95,18 +96,13 @@ def merge_flood_records(num_nodes: int, alpha: int,
         nodes_parts.append(np.asarray(result["cand_node"], dtype=np.int64))
         sites_parts.append(np.asarray(result["cand_site"], dtype=np.int64))
         dists_parts.append(np.asarray(result["cand_dist"], dtype=np.int64))
-    records: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
     if not nodes_parts:
-        return records
+        return [[] for _ in range(num_nodes)]
     node = np.concatenate(nodes_parts)
     site = np.concatenate(sites_parts)
     dist = np.concatenate(dists_parts)
     keep = dist <= best[node] + alpha
-    node, site, dist = node[keep], site[keep], dist[keep]
-    order = np.lexsort((site, dist, node))
-    for i in order:
-        records[int(node[i])].append((int(site[i]), int(dist[i])))
-    return records
+    return records_from_candidates(num_nodes, node[keep], site[keep], dist[keep])
 
 
 def assemble_voronoi(network: SensorNetwork, sites: Sequence[int],
