@@ -20,7 +20,7 @@ from ..analysis import evaluate_skeleton, failure_knee
 from ..core import extract_skeleton_distributed
 from ..network import get_scenario
 from ..observability import Tracer
-from ..perf import ParallelRunner, effective_jobs, set_task_context, task_context
+from ..resilience import ResilientRunner, task_context
 from ..runtime import FaultPlan, RetryPolicy
 from .figures import _holes, _medial
 from .harness import ExperimentReport, scaled_nodes
@@ -131,12 +131,8 @@ def run_fault_degradation(scale: float = 1.0, seed: int = 1,
         for name in names
         for arm in arms
     ]
-    runner = ParallelRunner(effective_jobs(jobs))
-    previous = set_task_context(cache, tracer)
-    try:
-        results = runner.map(_fault_task, configs)
-    finally:
-        set_task_context(*previous)
+    runner = ResilientRunner(jobs, cache=cache, tracer=tracer)
+    results = runner.map_results(_fault_task, configs)
     knee_rows: Dict[str, List[dict]] = {arm: [] for arm in arms}
     for rows in results:
         for row in rows:

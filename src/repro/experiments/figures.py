@@ -37,7 +37,7 @@ from ..network import (
     estimate_range_for_degree,
     get_scenario,
 )
-from ..perf import ParallelRunner, effective_jobs, set_task_context, task_context
+from ..resilience import ResilientRunner, task_context
 from .harness import ExperimentReport, scaled_nodes
 
 __all__ = [
@@ -107,18 +107,6 @@ def _cache_dir(cache) -> Optional[str]:
     if cache is not None and cache.disk_dir is not None:
         return str(cache.disk_dir)
     return None
-
-
-def _run_tasks(fn, configs, jobs, cache, tracer):
-    """Fan *configs* over the executor with the runner's cache/tracer
-    installed as the task context; rows return in config order, so the
-    parallel sweep is bit-identical to the serial one."""
-    runner = ParallelRunner(effective_jobs(jobs))
-    previous = set_task_context(cache, tracer)
-    try:
-        return runner.map(fn, configs)
-    finally:
-        set_task_context(*previous)
 
 
 def _grade(network, result, medial_axis=None, holes=None) -> Dict:
@@ -219,7 +207,8 @@ def run_fig4_scenarios(scale: float = 1.0, seed: int = 1,
          "cache_dir": _cache_dir(cache)}
         for name in (names if names is not None else FIG4_NAMES)
     ]
-    for row in _run_tasks(_fig4_task, configs, jobs, cache, tracer):
+    runner = ResilientRunner(jobs, cache=cache, tracer=tracer)
+    for row in runner.map_results(_fig4_task, configs):
         report.add_row(**row)
     return report
 

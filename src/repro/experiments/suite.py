@@ -3,9 +3,9 @@
 :func:`run_figure_suite` decomposes the eleven figure runners into
 independent *shards* — one scenario of Fig. 4, one epsilon of Fig. 7, one
 whole runner where its rows are coupled (the Fig. 5 stability chain, the
-Theorem 5 power-law fit) — fans them over the
-:class:`~repro.perf.ParallelRunner`, and merges the shard reports back
-into the canonical per-figure reports.  Shards carry sort keys of
+Theorem 5 power-law fit) — fans them over the executor
+(:class:`~repro.resilience.ResilientRunner`), and merges the shard
+reports back into the canonical per-figure reports.  Shards carry sort keys of
 ``(runner order, shard order)``, so the merged suite is row-for-row
 identical to running every runner serially, at any worker count.
 
@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cli import repro_import_hint
 from ..network import FIG7_EPSILONS, FIG8_SCENARIOS
-from ..perf import ArtifactCache, ParallelRunner, effective_jobs, \
-    set_task_context, task_context
+from ..perf import ArtifactCache
+from ..resilience import ResilientRunner, resolve_jobs, task_context
 from .figures import (
     FIG4_NAMES,
     run_ablations,
@@ -140,12 +140,8 @@ def run_figure_suite(scale: float = 1.0, seed: int = 1,
          "cache_dir": cache_dir}
         for _, runner, kwargs in shards
     ]
-    runner_pool = ParallelRunner(effective_jobs(jobs))
-    previous = set_task_context(cache, tracer)
-    try:
-        results = runner_pool.map(_suite_task, configs)
-    finally:
-        set_task_context(*previous)
+    runner_pool = ResilientRunner(jobs, cache=cache, tracer=tracer)
+    results = runner_pool.map_results(_suite_task, configs)
     by_runner: Dict[str, List[ExperimentReport]] = {}
     for (_, runner, _kwargs), report in zip(shards, results):
         by_runner.setdefault(runner, []).append(report)
@@ -168,7 +164,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # Fail fast on an unusable worker count (e.g. REPRO_JOBS=abc)
         # with a one-line error instead of a mid-suite traceback.
-        effective_jobs(args.jobs)
+        resolve_jobs(args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -253,6 +253,18 @@ class TraversalEngine:
                 cnt += np.bincount(cols_all, minlength=n)
         return row_sizes, num, cnt
 
+    # -- frontier sweeps ----------------------------------------------------
+
+    def _gather(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Segment gather: every neighbour of *nodes*, flattened in (node
+        order, adjacency order), with each node's degree as its segment
+        length — the one frontier-expansion step of every sweep below."""
+        starts = self._indptr[nodes]
+        lens = self._indptr[nodes + 1] - starts
+        seg_ends = np.cumsum(lens)
+        within = np.arange(int(lens.sum())) - np.repeat(seg_ends - lens, lens)
+        return lens, self._indices[np.repeat(starts, lens) + within]
+
     # -- multi-source BFS with parent recording ---------------------------
 
     def multi_source_distances(
@@ -282,7 +294,6 @@ class TraversalEngine:
         if blocked:
             blocked_mask = np.zeros(n, dtype=bool)
             blocked_mask[list(blocked)] = True
-        indptr, indices = self._indptr, self._indices
         dist_flat = dist.reshape(-1)
         parent_flat = parent.reshape(-1)
         # All waves advance together, one hop level per iteration; the
@@ -292,20 +303,11 @@ class TraversalEngine:
         dist[frow, fnode] = 0
         level = 0
         while frow.size:
-            starts = indptr[fnode]
-            lens = indptr[fnode + 1] - starts
-            total = int(lens.sum())
-            if total == 0:
-                break
-            # Segment gather: all frontier neighbours, flattened in
-            # (frontier order, adjacency order) — duplicates of a (row,
-            # node) key only ever occur within one row, so first
-            # occurrence per key is the parent the FIFO reference BFS
-            # assigns, and first-occurrence positions give each row's
-            # enqueue order for the next level.
-            seg_ends = np.cumsum(lens)
-            within = np.arange(total) - np.repeat(seg_ends - lens, lens)
-            cand = indices[np.repeat(starts, lens) + within]
+            # Duplicates of a (row, node) key only ever occur within one
+            # row, so first occurrence per key in the gather is the parent
+            # the FIFO reference BFS assigns, and first-occurrence
+            # positions give each row's enqueue order for the next level.
+            lens, cand = self._gather(fnode)
             keys = np.repeat(frow, lens) * n + cand
             fresh = dist_flat[keys] == UNREACHED
             if blocked_mask is not None:
@@ -340,21 +342,13 @@ class TraversalEngine:
             dist = np.full((m, n), UNREACHED, dtype=np.int32)
             if m == 0 or n == 0:
                 return dist
-            indptr, indices = self._indptr, self._indices
             dist_flat = dist.reshape(-1)
             frow = np.arange(m, dtype=np.int64)
             fnode = np.asarray(sources, dtype=np.int64)
             dist[frow, fnode] = 0
             level = 0
             while frow.size:
-                starts = indptr[fnode]
-                lens = indptr[fnode + 1] - starts
-                total = int(lens.sum())
-                if total == 0:
-                    break
-                seg_ends = np.cumsum(lens)
-                within = np.arange(total) - np.repeat(seg_ends - lens, lens)
-                cand = indices[np.repeat(starts, lens) + within]
+                lens, cand = self._gather(fnode)
                 keys = np.repeat(frow, lens) * n + cand
                 keys = np.unique(keys[dist_flat[keys] == UNREACHED])
                 if keys.size == 0:
@@ -382,18 +376,10 @@ class TraversalEngine:
                 if len(sources) else np.empty(0, dtype=np.int64)
             if n == 0 or frontier.size == 0:
                 return dist
-            indptr, indices = self._indptr, self._indices
             dist[frontier] = 0
             level = 0
             while frontier.size:
-                starts = indptr[frontier]
-                lens = indptr[frontier + 1] - starts
-                total = int(lens.sum())
-                if total == 0:
-                    break
-                seg_ends = np.cumsum(lens)
-                within = np.arange(total) - np.repeat(seg_ends - lens, lens)
-                cand = indices[np.repeat(starts, lens) + within]
+                _lens, cand = self._gather(frontier)
                 frontier = np.unique(cand[dist[cand] == UNREACHED])
                 if frontier.size == 0:
                     break

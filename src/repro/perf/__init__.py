@@ -1,18 +1,13 @@
-"""Performance subsystem: batch execution and artifact caching.
+"""Performance subsystem: content-addressed artifact caching.
 
-Two cooperating layers turn the repository's experiment battery from a
-serial, recompute-everything loop into a production-shaped pipeline:
-
-* :class:`ArtifactCache` — a content-addressed store keyed by
-  ``(graph content hash, params hash, stage)`` that memoizes scenario
-  construction, k-hop neighbourhood tables and Voronoi flood artifacts
-  across runners (in-memory LRU with an optional on-disk tier whose keys
-  are versioned, so stale entries self-invalidate);
-* :class:`ParallelRunner` — fans independent experiment configurations
-  out over a ``ProcessPoolExecutor`` (worker count auto-detected,
-  ``REPRO_JOBS`` override, serial fallback at ``jobs=1``) and merges the
-  results deterministically: output order is the config order, never the
-  completion order, so a parallel run is bit-identical to the serial one.
+:class:`ArtifactCache` is a content-addressed store keyed by
+``(graph content hash, params hash, stage)`` that memoizes scenario
+construction, k-hop neighbourhood tables and Voronoi flood artifacts
+across runners (in-memory LRU with an optional on-disk tier whose keys
+are versioned, so stale entries self-invalidate).  Fan-out over worker
+processes lives in the one executor,
+:class:`~repro.resilience.ResilientRunner`, which hands each task the
+caller's cache.
 
 Cache lookups report hits and misses to the observability
 :class:`~repro.observability.tracer.Tracer`, so a
@@ -21,9 +16,7 @@ cache hit rate next to the message-passing and traversal metrics.
 
 Disk entries are digest-verified on every read: corrupt artifacts are
 quarantined and recomputed, never deserialized (see
-:mod:`repro.perf.cache` and ``python -m repro.perf fsck``).  The
-supervision layer that retries failed workers lives one package up in
-:mod:`repro.resilience`.
+:mod:`repro.perf.cache` and ``python -m repro.perf fsck``).
 """
 
 from .cache import (
@@ -34,13 +27,6 @@ from .cache import (
     encode_artifact,
     stable_digest,
 )
-from .runner import (
-    ParallelRunner,
-    effective_jobs,
-    resolve_jobs,
-    set_task_context,
-    task_context,
-)
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -49,9 +35,4 @@ __all__ = [
     "decode_artifact",
     "encode_artifact",
     "stable_digest",
-    "ParallelRunner",
-    "effective_jobs",
-    "resolve_jobs",
-    "set_task_context",
-    "task_context",
 ]

@@ -29,8 +29,9 @@ from typing import Optional, Sequence
 from ..core import SkeletonParams
 from ..network import get_scenario
 from ..observability import Tracer, build_metrics
-from ..perf import ArtifactCache, effective_jobs
-from . import ExecutorFaultPlan, SupervisorPolicy, corrupt_cache_entries
+from ..perf import ArtifactCache
+from . import (ExecutorFaultPlan, SupervisorPolicy, corrupt_cache_entries,
+               resolve_jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +167,7 @@ def _drill_degrade(network, params, args, policy) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        effective_jobs(args.jobs)
+        resolve_jobs(args.jobs)
         policy = SupervisorPolicy(max_attempts=args.max_attempts,
                                   backoff_base=0.001)
     except ValueError as exc:

@@ -1,9 +1,16 @@
-"""Supervised task execution: retry, speculation, first-result-wins.
+"""The executor: process-pool fan-out, fail-fast or supervised.
 
-:class:`ResilientRunner` is the fault-tolerant counterpart of
-:class:`~repro.perf.ParallelRunner`.  It runs the same pure task
-functions over the same config lists and returns results in config order
-— the determinism contract is unchanged — but every task is supervised:
+:class:`ResilientRunner` runs a pure task function over a list of
+configs — inline at ``jobs=1``, else on a ``ProcessPoolExecutor`` — and
+returns one :class:`TaskOutcome` per config in config order, never
+completion order, so a parallel run is bit-identical to the serial one.
+Configs and results cross the process boundary by pickle;
+:class:`~repro.network.graph.SensorNetwork` ships as compact arrays.
+
+Without a :class:`SupervisorPolicy` the runner is **fail-fast**: one
+attempt per task, no backoff, no speculation, and a failing task's own
+exception propagates unchanged (the lowest config index wins when several
+fail).  With a policy every task is supervised:
 
 * a failed attempt (injected :class:`~.faults.InjectedWorkerCrash`, a
   real exception, or a worker death that breaks the process pool) is
@@ -21,13 +28,18 @@ functions over the same config lists and returns results in config order
   :class:`~.degrade.DegradedReport`).
 
 With no :class:`~.faults.ExecutorFaultPlan` and no real failures, every
-task succeeds on attempt 0 and the result list is exactly what
-``ParallelRunner.map`` produces — the equivalence batteries run unchanged
-through either runner.
+task succeeds on attempt 0 under either policy, so supervised and
+fail-fast runs return the same results.
+
+The runner also owns the two steps every fan-out shares: the worker
+count (:func:`resolve_jobs`) and the task context — the caller's cache
+and tracer, installed around each ``map`` for task functions to read
+through :func:`task_context`.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -35,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observability.metrics import percentile
-from ..perf import resolve_jobs
 from ..runtime.faults import hash_uniform
 from .faults import (
     ExecutorFaultPlan,
@@ -45,7 +56,55 @@ from .faults import (
 )
 
 __all__ = ["SupervisorPolicy", "TaskOutcome", "TaskFailedError",
-           "ResilientRunner"]
+           "ResilientRunner", "resolve_jobs", "task_context"]
+
+_JOBS_ENV = "REPRO_JOBS"
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """The worker count: explicit ``jobs`` > ``REPRO_JOBS`` > 1 (serial).
+
+    A call that did not ask for parallelism must not silently fork —
+    tests and embedding code rely on single-process execution by default.
+    """
+    if jobs is None:
+        env = os.environ.get(_JOBS_ENV, "").strip()
+        if not env:
+            return 1
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{_JOBS_ENV} must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return jobs
+
+
+# The cache/tracer of the running ``map`` (installed and restored by
+# :meth:`ResilientRunner.map`), made visible to its task function:
+# directly when the task runs inline (jobs=1), and as a fork-time snapshot
+# in pool workers on fork platforms (reads of the warmed in-memory tier
+# still hit; worker-side writes stay worker-local, which is sound because
+# tasks are pure).  On spawn platforms workers see None and fall back to
+# the config's ``cache_dir`` — the disk tier is the shared medium.
+_task_cache = None
+_task_tracer = None
+
+
+def task_context(cache_dir=None):
+    """The ``(cache, tracer)`` for the currently executing task.
+
+    Inside a worker that inherited no context, a *cache_dir* (threaded
+    through the pickled config) reconstructs a disk-backed cache so
+    parallel tasks still share artifacts.
+    """
+    cache, tracer = _task_cache, _task_tracer
+    if cache is None and cache_dir is not None:
+        from ..perf.cache import ArtifactCache
+
+        cache = ArtifactCache(disk_dir=cache_dir)
+    return cache, tracer
 
 
 @dataclass(frozen=True)
@@ -180,14 +239,21 @@ def _expired(deadline_at: Optional[float]) -> bool:
     return deadline_at is not None and time.perf_counter() >= deadline_at
 
 
-class ResilientRunner:
-    """Supervised fan-out: ``ParallelRunner`` semantics plus retry,
-    speculation and partial-failure reporting.
+# The budget of a runner without a policy: one attempt (so no retry or
+# backoff) and no speculation; its failures raise instead of becoming
+# failed outcomes.
+_FAIL_FAST = SupervisorPolicy(max_attempts=1, speculate=False)
 
-    ``jobs`` resolves exactly like the plain runner (explicit >
-    ``REPRO_JOBS`` > auto); ``tracer`` receives one
-    ``on_task_retry`` / ``on_speculate`` / ``on_task_failure`` call per
-    event so supervision shows up in the
+
+class ResilientRunner:
+    """The executor: fan a pure task function out over configs, outcomes
+    in config order; fail-fast by default, supervised under a *policy*.
+
+    ``jobs`` resolves through :func:`resolve_jobs` (explicit >
+    ``REPRO_JOBS`` > serial).  *cache* and *tracer* form the task context
+    installed around every ``map``; under a policy the *tracer* also
+    receives one ``on_task_retry`` / ``on_speculate`` /
+    ``on_task_failure`` call per event, so supervision shows up in the
     :class:`~repro.observability.metrics.MetricsReport` next to the
     radio-level retry counters.
     """
@@ -195,17 +261,22 @@ class ResilientRunner:
     def __init__(self, jobs: Optional[int] = None,
                  policy: Optional[SupervisorPolicy] = None,
                  fault_plan: Optional[ExecutorFaultPlan] = None,
-                 tracer=None):
+                 tracer=None, cache=None):
         self.jobs = resolve_jobs(jobs)
-        self.policy = policy if policy is not None else SupervisorPolicy()
+        self.fail_fast = policy is None
+        self.policy = _FAIL_FAST if policy is None else policy
         self.fault_plan = fault_plan
         self.tracer = tracer
-        #: per-stage supervision counters accumulated across ``map`` calls.
+        self.cache = cache
+        #: per-stage supervision counters accumulated across ``map`` calls;
+        #: empty for a fail-fast runner, which supervises nothing.
         self.stage_counters: Dict[str, Dict[str, int]] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
     def _count(self, stage: str, what: str, amount: int = 1) -> None:
+        if self.fail_fast:
+            return
         counters = self.stage_counters.setdefault(
             stage, {"attempts": 0, "retries": 0, "speculations": 0,
                     "failures": 0})
@@ -246,6 +317,8 @@ class ResilientRunner:
                     result = _attempt_task(
                         (fn, config, stage, index, attempt, self.fault_plan))
                 except Exception as exc:  # noqa: BLE001 - supervision point
+                    if self.fail_fast:
+                        raise
                     errors.append(f"{type(exc).__name__}: {exc}")
                     if attempt + 1 < self.policy.max_attempts \
                             and not _expired(deadline_at):
@@ -284,12 +357,22 @@ class ResilientRunner:
         retries = [0] * n
         speculated = [False] * n
         errors: List[List[str]] = [[] for _ in range(n)]
+        # Fail-fast only: the exception of each failed task.
+        raised: Dict[int, Exception] = {}
         durations: List[float] = []
         pending: Dict[Any, Tuple[int, int, float]] = {}
+        # After a worker death, attempts run one at a time (the rest wait
+        # here), so a further death is charged to the task that caused it
+        # and not to every task that shared the pool with it.
+        waiting: List[int] = []
+        isolated = False
         restarts = 0
         pool = ProcessPoolExecutor(max_workers=workers)
 
         def submit(index: int) -> None:
+            if isolated and pending:
+                waiting.append(index)
+                return
             attempt = attempts_started[index]
             attempts_started[index] += 1
             self._count(stage, "attempts")
@@ -301,12 +384,15 @@ class ResilientRunner:
         def in_flight(index: int) -> int:
             return sum(1 for idx, _, _ in pending.values() if idx == index)
 
+        def fail_on_deadline(index: int) -> None:
+            errors[index].append(_DEADLINE_ERROR)
+            resolved[index] = _FAILED
+            self._note_failure(stage)
+
         def retry_or_fail(index: int) -> None:
             if _expired(deadline_at):
                 if in_flight(index) == 0:
-                    errors[index].append(_DEADLINE_ERROR)
-                    resolved[index] = _FAILED
-                    self._note_failure(stage)
+                    fail_on_deadline(index)
                 return
             if attempts_started[index] < policy.max_attempts:
                 retries[index] += 1
@@ -320,15 +406,27 @@ class ResilientRunner:
                 resolved[index] = _FAILED
                 self._note_failure(stage)
 
+        def finished() -> bool:
+            if not raised:
+                return len(resolved) == n
+            # Fail-fast stops once every task below the lowest failed
+            # index has resolved: no other failure can outrank it.
+            return all(index in resolved for index in range(min(raised)))
+
         try:
             for index in range(n):
                 if _expired(deadline_at):
-                    errors[index].append(_DEADLINE_ERROR)
-                    resolved[index] = _FAILED
-                    self._note_failure(stage)
+                    fail_on_deadline(index)
                 else:
                     submit(index)
-            while len(resolved) < n:
+            while not finished():
+                if not pending and waiting:
+                    index = waiting.pop(0)
+                    if _expired(deadline_at):
+                        fail_on_deadline(index)
+                    else:
+                        submit(index)
+                    continue
                 if not pending:  # pragma: no cover - defensive
                     for index in range(n):
                         if index not in resolved:
@@ -340,15 +438,17 @@ class ResilientRunner:
                                    timeout=policy.poll_seconds,
                                    return_when=FIRST_COMPLETED)
                     now = time.perf_counter()
-                    broken = False
                     for future in done:
                         index, _attempt, t0 = pending.pop(future)
                         try:
                             result = future.result()
                         except BrokenProcessPool:
-                            broken = True
-                            break
+                            raise
                         except Exception as exc:  # noqa: BLE001
+                            if self.fail_fast:
+                                raised[index] = exc
+                                resolved[index] = _FAILED
+                                continue
                             errors[index].append(
                                 f"{type(exc).__name__}: {exc}")
                             if index not in resolved:
@@ -357,15 +457,17 @@ class ResilientRunner:
                             durations.append(now - t0)
                             if index not in resolved:
                                 resolved[index] = result
-                    if broken:
-                        raise BrokenProcessPool("worker process died")
                 except BrokenProcessPool:
+                    if self.fail_fast:
+                        raise
                     # A hard worker death poisons the whole pool: every
                     # in-flight attempt is lost.  Rebuild the pool and
-                    # resubmit the survivors — their aborted attempts
+                    # resubmit the lost tasks — their aborted attempts
                     # already consumed budget at submission time.
                     pool.shutdown(wait=False, cancel_futures=True)
                     pending.clear()
+                    lost = [index for index in range(n)
+                            if index not in resolved and index not in waiting]
                     restarts += 1
                     if restarts > policy.max_pool_restarts:
                         for index in range(n):
@@ -377,15 +479,15 @@ class ResilientRunner:
                                 self._note_failure(stage)
                         break
                     pool = ProcessPoolExecutor(max_workers=workers)
-                    for index in range(n):
-                        if index not in resolved:
-                            errors[index].append(
-                                "BrokenProcessPool: worker process died")
-                            retry_or_fail(index)
+                    isolated = True
+                    for index in lost:
+                        errors[index].append(
+                            "BrokenProcessPool: worker process died")
+                        retry_or_fail(index)
                     continue
                 # Straggler sweep: anything older than the percentile
                 # deadline gets one speculative duplicate (budget allowing).
-                if (policy.speculate and workers > 1
+                if (policy.speculate and workers > 1 and not isolated
                         and not _expired(deadline_at)
                         and len(durations) >= policy.straggler_min_samples):
                     deadline = max(
@@ -404,6 +506,8 @@ class ResilientRunner:
                             submit(index)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+        if raised:
+            raise raised[min(raised)]
 
         outcomes: List[TaskOutcome] = []
         for index in range(n):
@@ -424,8 +528,16 @@ class ResilientRunner:
     def map(self, fn: Callable[[Any], Any], configs: Sequence[Any],
             stage: str = "task",
             deadline_at: Optional[float] = None) -> List[TaskOutcome]:
-        """Run ``fn`` over *configs* under supervision; outcomes in config
-        order.  Never raises for task failures — inspect ``ok``.
+        """Run ``fn`` over *configs*; outcomes in config order.
+
+        *fn* must be a module-level callable (picklable) and must not
+        depend on shared mutable state — each worker process runs with
+        its own copy of everything; it reads the runner's cache and
+        tracer through :func:`task_context`.
+
+        Fail-fast (no policy), the first failing task's exception
+        propagates — the lowest config index when several fail.  Under a
+        policy ``map`` never raises for task failures — inspect ``ok``.
 
         *deadline_at* (a ``time.perf_counter`` instant) is a hard budget
         on *starting* work: once it passes, no further attempt — first
@@ -436,12 +548,18 @@ class ResilientRunner:
         the deadline by racing it are kept.  ``deadline_at=None`` (the
         default) preserves the unbounded behaviour.
         """
+        global _task_cache, _task_tracer
         configs = list(configs)
-        if self.jobs == 1 or len(configs) <= 1:
-            return self._map_serial(fn, configs, stage,
-                                    deadline_at=deadline_at)
-        return self._map_parallel(fn, configs, stage,
-                                  deadline_at=deadline_at)
+        previous = (_task_cache, _task_tracer)
+        _task_cache, _task_tracer = self.cache, self.tracer
+        try:
+            if self.jobs == 1 or len(configs) <= 1:
+                return self._map_serial(fn, configs, stage,
+                                        deadline_at=deadline_at)
+            return self._map_parallel(fn, configs, stage,
+                                      deadline_at=deadline_at)
+        finally:
+            _task_cache, _task_tracer = previous
 
     def map_results(self, fn: Callable[[Any], Any], configs: Sequence[Any],
                     stage: str = "task") -> List[Any]:

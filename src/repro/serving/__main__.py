@@ -18,7 +18,8 @@ import sys
 from typing import Optional, Sequence
 
 from ..cli import repro_import_hint
-from ..perf import ArtifactCache, effective_jobs
+from ..perf import ArtifactCache
+from ..resilience import resolve_jobs
 from .clock import SystemClock, VirtualClock
 from .service import ServiceConfig, SkeletonService
 from .workload import WorkloadSpec, run_workload
@@ -78,7 +79,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # Fail fast on an unusable worker count (e.g. REPRO_JOBS=abc)
         # with a one-line error instead of a traceback mid-run.
-        effective_jobs(args.jobs)
+        resolve_jobs(args.jobs)
         config = ServiceConfig(
             max_queue=args.max_queue,
             workers=args.workers,

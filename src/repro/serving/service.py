@@ -58,10 +58,9 @@ from ..core.pipeline import extract_skeleton, stage_span
 from ..core.result import SkeletonResult
 from ..network.graph import SensorNetwork
 from ..observability.metrics import percentile
-from ..perf import ArtifactCache, effective_jobs, set_task_context, \
-    stable_digest, task_context
+from ..perf import ArtifactCache, stable_digest
 from ..resilience import DegradedReport, ExecutorFaultPlan, ResilientRunner, \
-    SupervisorPolicy
+    SupervisorPolicy, task_context
 from ..shard import run_sharded
 from .clock import SystemClock
 
@@ -674,18 +673,16 @@ class SkeletonService:
                                   >= self.config.shard_threshold),
                     "grid": self.config.grid, "cache_dir": cache_dir,
                 })
+            # Batches are always supervised, so a failed task becomes a
+            # "failed" response instead of an exception.
             runner = ResilientRunner(
-                jobs=effective_jobs(jobs if jobs is not None
-                                    else self.config.jobs),
-                policy=self.config.supervisor,
-                fault_plan=self.config.fault_plan, tracer=self.tracer)
-            previous = set_task_context(self.cache, self.tracer)
-            try:
-                with stage_span(self.tracer, "serve:batch"):
-                    outcomes = runner.map(_batch_compute_task, configs,
-                                          stage="serve:batch")
-            finally:
-                set_task_context(*previous)
+                jobs if jobs is not None else self.config.jobs,
+                policy=self.config.supervisor or SupervisorPolicy(),
+                fault_plan=self.config.fault_plan, tracer=self.tracer,
+                cache=self.cache)
+            with stage_span(self.tracer, "serve:batch"):
+                outcomes = runner.map(_batch_compute_task, configs,
+                                      stage="serve:batch")
             self._merge_supervision(runner.stage_counters)
             for key, outcome in zip(to_compute, outcomes):
                 if outcome.ok:

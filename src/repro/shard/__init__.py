@@ -1,8 +1,8 @@
 """Tiled sharded skeleton extraction for large fields (DESIGN.md §12).
 
 Partition a deployment into overlapping spatial tiles, run the pipeline's
-parallelizable phases per shard through the
-:class:`~repro.perf.ParallelRunner`, and merge — with the guarantee that
+parallelizable phases per shard through the executor
+(:class:`~repro.resilience.ResilientRunner`), and merge — with the guarantee that
 the merged result is bit-identical to the monolithic
 :class:`~repro.core.SkeletonExtractor` at every tile count and backend.
 """

@@ -22,8 +22,8 @@ from ..cli import repro_import_hint
 from ..core import SkeletonParams, extract_skeleton
 from ..network import MEGA_SCENARIOS, PAPER_SCENARIOS, get_mega_spec, get_scenario
 from ..observability import Tracer, write_chrome_trace
-from ..perf import ArtifactCache, effective_jobs
-from ..resilience import SupervisorPolicy
+from ..perf import ArtifactCache
+from ..resilience import SupervisorPolicy, resolve_jobs
 from . import assert_equivalent, run_sharded
 
 
@@ -72,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # Fail fast on an unusable worker count (e.g. REPRO_JOBS=abc)
         # with a one-line error instead of a traceback mid-run.
-        effective_jobs(args.jobs)
+        resolve_jobs(args.jobs)
         supervisor = (SupervisorPolicy(max_attempts=args.max_attempts,
                                        speculate=not args.no_speculate)
                       if args.max_attempts is not None else None)

@@ -1,8 +1,8 @@
 """Sharded skeleton extraction: tile, fan out, merge — bit-identical.
 
 :func:`extract_skeleton_sharded` runs the paper's pipeline over spatial
-tiles (stage 1) and site batches (stages 2–3) via the
-:class:`~repro.perf.ParallelRunner`, then merges the shard outputs into
+tiles (stage 1) and site batches (stages 2–3) via the executor
+(:class:`~repro.resilience.ResilientRunner`), then merges the shard outputs into
 the exact artifacts the monolithic :class:`SkeletonExtractor` would have
 produced — same critical nodes, same records, same paths, same loops,
 same final skeleton.  The equivalence battery in
@@ -40,7 +40,6 @@ from ..core.pipeline import empty_skeleton_result, stage_span
 from ..core.refine import refine_skeleton
 from ..core.result import SkeletonResult
 from ..network.graph import SensorNetwork
-from ..perf import ParallelRunner, effective_jobs, set_task_context
 from ..resilience import (
     DegradedReport,
     ExecutorFaultPlan,
@@ -79,7 +78,7 @@ class ShardRun:
     degraded: Optional[DegradedReport] = None
     #: per-stage supervision counters (attempts / retries / speculations /
     #: failures) from the :class:`~repro.resilience.ResilientRunner`;
-    #: empty for unsupervised runs.
+    #: empty for unsupervised (fail-fast) runs.
     supervision: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -121,16 +120,19 @@ def run_sharded(network: SensorNetwork,
     processes; *tracer* records one span per phase so shard runs show up
     in the MetricsReport next to monolithic stage spans.
 
-    Passing *supervisor* (a :class:`~repro.resilience.SupervisorPolicy`)
-    or *fault_plan* (an :class:`~repro.resilience.ExecutorFaultPlan`)
-    swaps the plain :class:`~repro.perf.ParallelRunner` for the
-    :class:`~repro.resilience.ResilientRunner`: failed shard tasks are
-    retried with backoff, stragglers speculate, and a task that exhausts
-    its budget no longer aborts the run — the merge degrades gracefully
-    and the returned :class:`ShardRun` carries a
-    :class:`~repro.resilience.DegradedReport` stating exactly what was
-    lost.  With no injected faults and none occurring naturally, the
-    supervised run is bit-identical to the unsupervised one.
+    Every phase fans out through one
+    :class:`~repro.resilience.ResilientRunner`.  Without *supervisor*,
+    *fault_plan* or *deadline_seconds* it is fail-fast: a shard task's
+    exception propagates out of this call.  Passing *supervisor* (a
+    :class:`~repro.resilience.SupervisorPolicy`) or *fault_plan* (an
+    :class:`~repro.resilience.ExecutorFaultPlan`) supervises the run
+    instead: failed shard tasks are retried with backoff, stragglers
+    speculate, and a task that exhausts its budget no longer aborts the
+    run — the merge degrades gracefully and the returned
+    :class:`ShardRun` carries a :class:`~repro.resilience.DegradedReport`
+    stating exactly what was lost.  With no injected faults and none
+    occurring naturally, the supervised run is bit-identical to the
+    fail-fast one.
 
     *deadline_seconds* caps the wall-clock budget for launching shard
     work: tasks that cannot start before it elapses are treated exactly
@@ -141,16 +143,13 @@ def run_sharded(network: SensorNetwork,
     default :class:`~repro.resilience.SupervisorPolicy`.
     """
     params = params if params is not None else SkeletonParams()
-    worker_count = effective_jobs(jobs)
     supervised = (supervisor is not None or fault_plan is not None
                   or deadline_seconds is not None)
     deadline_at = (time.perf_counter() + max(0.0, deadline_seconds)
                    if deadline_seconds is not None else None)
-    if supervised:
-        runner = ResilientRunner(jobs=worker_count, policy=supervisor,
-                                 fault_plan=fault_plan, tracer=tracer)
-    else:
-        runner = ParallelRunner(worker_count)
+    policy = (supervisor or SupervisorPolicy()) if supervised else None
+    runner = ResilientRunner(jobs, policy=policy, fault_plan=fault_plan,
+                             tracer=tracer, cache=cache)
     cache_dir = (str(cache.disk_dir)
                  if cache is not None and getattr(cache, "disk_dir", None)
                  is not None else None)
@@ -160,18 +159,12 @@ def run_sharded(network: SensorNetwork,
     def run_tasks(fn, configs, stage: str):
         """Map *fn* over *configs*; returns ``(results, failed_indices)``.
 
-        Unsupervised runs keep the original fail-fast semantics (any
-        worker exception propagates); supervised runs drop exhausted
-        tasks from the result list and report their config indices.
+        Supervised runs drop exhausted tasks from the result list and
+        report their config indices; a fail-fast run raises instead, so
+        its list of failures is always empty.
         """
-        previous = set_task_context(cache, tracer)
-        try:
-            if not supervised:
-                return runner.map(fn, configs), []
-            outcomes = runner.map(fn, configs, stage=stage,
-                                  deadline_at=deadline_at)
-        finally:
-            set_task_context(*previous)
+        outcomes = runner.map(fn, configs, stage=stage,
+                              deadline_at=deadline_at)
         failed = [o.index for o in outcomes if not o.ok]
         if failed:
             task_failures[stage] = len(failed)
@@ -198,7 +191,7 @@ def run_sharded(network: SensorNetwork,
         plan = plan_tiles(network, grid, params)
     if n == 0:
         return ShardRun(result=empty_skeleton_result(network, params),
-                        plan=plan, jobs=worker_count, timings=timings)
+                        plan=plan, jobs=runner.jobs, timings=timings)
 
     failed_tiles: Tuple[int, ...] = ()
     missing_nodes = 0
@@ -222,9 +215,6 @@ def run_sharded(network: SensorNetwork,
             quality=quality,
             verdict=verdict,
         )
-
-    def counters():
-        return dict(runner.stage_counters) if supervised else {}
 
     # Phase 1 — per-tile stage 1 over halo-expanded subgraphs.
     with timed("shard:stage1"):
@@ -258,8 +248,9 @@ def run_sharded(network: SensorNetwork,
         return ShardRun(
             result=empty_skeleton_result(network, params,
                                          index_data=index_data),
-            plan=plan, jobs=worker_count, timings=timings,
-            degraded=build_degraded((), ()), supervision=counters())
+            plan=plan, jobs=runner.jobs, timings=timings,
+            degraded=build_degraded((), ()),
+            supervision=dict(runner.stage_counters))
 
     # Phase 2 — site-sharded Voronoi flooding over the full graph.
     with timed("shard:flood"):
@@ -331,10 +322,10 @@ def run_sharded(network: SensorNetwork,
         segmentation=segmentation,
         boundary_nodes=boundary,
     )
-    return ShardRun(result=result, plan=plan, jobs=worker_count,
+    return ShardRun(result=result, plan=plan, jobs=runner.jobs,
                     timings=timings, num_flood_batches=len(batches),
                     degraded=build_degraded(skeleton.nodes, skeleton.edges),
-                    supervision=counters())
+                    supervision=dict(runner.stage_counters))
 
 
 def extract_skeleton_sharded(network: SensorNetwork,

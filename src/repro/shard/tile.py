@@ -1,4 +1,4 @@
-"""Per-shard task functions, picklable for :class:`~repro.perf.ParallelRunner`.
+"""Per-shard task functions, picklable for :class:`~repro.resilience.ResilientRunner`.
 
 Three task kinds, one per parallel phase of the sharded pipeline:
 
@@ -9,9 +9,9 @@ Three task kinds, one per parallel phase of the sharded pipeline:
 * :func:`paths_batch_task` — reverse-path realization for one batch of
   sites' connector endpoints.
 
-All three are pure functions of their config dicts (the ParallelRunner
-contract), read the shared :func:`~repro.perf.task_context` for the
-artifact cache and tracer, and honour ``params.backend`` so the sharded
+All three are pure functions of their config dicts (the executor's
+contract), read the executor's :func:`~repro.resilience.task_context` for
+the artifact cache and tracer, and honour ``params.backend`` so the sharded
 pipeline is exact under either traversal implementation.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from ..core.identification import find_critical_nodes
 from ..core.neighborhood import compute_indices
 from ..network.graph import UNREACHED, SensorNetwork
-from ..perf import task_context
+from ..resilience import task_context
 
 __all__ = ["stage1_tile_task", "flood_batch_task", "paths_batch_task"]
 

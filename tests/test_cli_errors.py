@@ -6,9 +6,11 @@ traceback halfway into a sweep.  Also smoke-tests the chaos drill CLI's
 two modes end to end.
 """
 
+import multiprocessing
+
 import pytest
 
-from repro.cli import TIER1_HINT
+from repro.cli import TIER1_HINT, repro_import_hint
 from repro.experiments.suite import main as suite_main
 from repro.resilience.__main__ import main as chaos_main
 from repro.serving.__main__ import main as serving_main
@@ -70,6 +72,31 @@ def test_worker_import_failure_prints_tier1_hint(name, module, attr, invoke,
     err = capsys.readouterr().err
     assert err == TIER1_HINT + "\n"
     assert "PYTHONPATH=src" in err
+
+
+def _suite_runner_missing_repro(**_kwargs):  # module-level: pickles
+    raise ModuleNotFoundError("No module named 'repro'", name="repro")
+
+
+# The same failure raised by a real task inside the executor, rather than
+# by a patched entry point: the worker's exception must survive the pool.
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_suite_task_import_failure_prints_tier1_hint(jobs, monkeypatch,
+                                                     capsys):
+    import repro.experiments.suite as suite_mod
+
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched runner only when forked")
+    monkeypatch.setitem(suite_mod._RUNNER_FNS, "fig1",
+                        _suite_runner_missing_repro)
+    with pytest.raises(ModuleNotFoundError) as info:
+        suite_mod.run_figure_suite(scale=0.1, jobs=jobs,
+                                   runners=["fig1", "fig6"])
+    assert info.value.name == "repro"
+    assert repro_import_hint(info.value) == TIER1_HINT
+    assert suite_main(["--runners", "fig1", "--scale", "0.1",
+                       "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err == TIER1_HINT + "\n"
 
 
 def test_unrelated_import_failure_still_raises(monkeypatch):

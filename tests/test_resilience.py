@@ -52,6 +52,14 @@ def _hard_exit(config):
     return config * config
 
 
+def _hard_exit_first(config):
+    # Task 0 dies at once while the others are still running.
+    if config == 0:
+        os._exit(1)
+    time.sleep(0.1)
+    return config * config
+
+
 def _always_raise(config):
     raise ValueError(f"bad config {config}")
 
@@ -210,6 +218,16 @@ class TestParallelSupervision:
         assert any("BrokenProcessPool" in e for e in outcomes[0].errors)
         assert [o.result for o in outcomes if o.index > 0] == [1, 4, 9]
 
+    def test_worker_death_charged_to_its_task_only(self):
+        # After the first death attempts run one at a time, so the
+        # crashing task spends its own budget and no one else's.
+        runner = ResilientRunner(jobs=2, policy=SupervisorPolicy(
+            max_attempts=2, backoff_base=0.0))
+        outcomes = runner.map(_hard_exit_first, list(range(6)), stage="s")
+        assert not outcomes[0].ok and outcomes[0].attempts == 2
+        assert all("BrokenProcessPool" in e for e in outcomes[0].errors)
+        assert [o.result for o in outcomes[1:]] == [1, 4, 9, 16, 25]
+
     def test_straggler_speculation_fires(self):
         policy = SupervisorPolicy(
             backoff_base=0.0, straggler_min_samples=3,
@@ -321,7 +339,7 @@ class TestShardDegradation:
         kept = {frozenset(p) for p in run.result.coarse.pair_paths}
         assert not dropped & kept
 
-    def test_unsupervised_failure_still_raises(self):
+    def test_unsupervised_failure_still_raises(self, monkeypatch):
         # Without a supervisor the original fail-fast contract holds.
         plan = ExecutorFaultPlan(kill_tasks={("shard:stage1", 0): 99})
         policy = SupervisorPolicy(max_attempts=1, backoff_base=0.0)
@@ -332,3 +350,11 @@ class TestShardDegradation:
             # The same plan through the *plain* serial map path raises.
             from repro.resilience.supervisor import _attempt_task
             _attempt_task((_square, 2, "shard:stage1", 0, 0, plan))
+        # No supervisor, fault plan or deadline: a stage-1 task's own
+        # exception propagates out of run_sharded, serial and pooled.
+        monkeypatch.setattr("repro.shard.api.stage1_tile_task",
+                            _always_raise)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="bad config"):
+                run_sharded(_window_network(), SkeletonParams(),
+                            grid="2x2", jobs=jobs)
