@@ -14,7 +14,11 @@ timers (:meth:`AsyncNodeApi.set_timer` / :meth:`NodeProtocol.on_timer`).
 per receiver, ordered exactly like the synchronous scheduler orders its
 round inboxes (frame send order), and same-time timers fire after the
 deliveries in node-id order — the event-driven analogue of "handlers, then
-round hooks".  With a degenerate (zero-jitter) latency model every frame
+round hooks".  The queue holds one delivery event per (frame, arrival
+instant) listing its receivers in neighbour order; popping it expands into
+the per-receiver inboxes in the same order one event per receiver would
+have popped, so a zero-jitter broadcast costs one queue entry, not one per
+neighbour.  With a degenerate (zero-jitter) latency model every frame
 takes exactly the base latency, batches coincide with synchronous rounds,
 and a dual-mode protocol produces results identical to its synchronous
 run.  That equivalence is enforced by the cross-scheduler tests; jitter
@@ -180,8 +184,11 @@ class AsyncScheduler:
         self.stats = RunStats()
         self._started = False
         # Event heap: (time, rank, key, seq, payload).  ``key`` is the frame
-        # seq for deliveries (send order) and the node id for timers (round-
-        # hook order); ``seq`` is a unique tiebreak so payloads never compare.
+        # seq for deliveries and retransmissions (send order) and the node id
+        # for timers (round-hook order); ``seq`` is a unique tiebreak so
+        # payloads never compare.  A delivery payload is ("msg", receivers,
+        # transmission): every receiver, in neighbour order, that one
+        # transmit reaches at that instant.
         self._events: List[Tuple[float, int, int, int, tuple]] = []
         self._event_seq = 0
         self._next_seq = 0
@@ -264,6 +271,11 @@ class AsyncScheduler:
             else:
                 tx.trace_id = tr.on_send(tx.message, self.now, len(neighbors),
                                          parent=tx.trace_parent)
+        # One delivery event per distinct arrival instant, its receivers in
+        # neighbour order: expanded at pop time they land in the inboxes
+        # exactly where per-receiver events sharing (time, rank, seq) and
+        # consecutive tiebreaks would have.
+        arrivals: Dict[float, List[int]] = {}
         delivered = 0
         for v in neighbors:
             if plan is not None and (
@@ -276,17 +288,19 @@ class AsyncScheduler:
                     tr.on_drop(tx.message, sender, v, self.now)
                 continue
             delivered += 1
-            delay = self.latency.delay(sender, v, tx.seq)
-            self._deficit[sender] += 1
-            self._outstanding += 1
-            self._report.max_outstanding = max(
-                self._report.max_outstanding, self._outstanding
-            )
-            # Acks are resolved when the frame actually arrives (the
-            # receiver may crash mid-flight); the delivery event carries the
-            # transmission so arrival processing can settle ``awaiting``.
-            self._push(self.now + delay, _RANK_DELIVERY, tx.seq,
-                       ("msg", v, sender, tx.seq, tx))
+            at = self.now + self.latency.delay(sender, v, tx.seq)
+            arrivals.setdefault(at, []).append(v)
+        # Acks are resolved when the frame actually arrives (the receiver
+        # may crash mid-flight); the delivery event carries the
+        # transmission so arrival processing can settle ``awaiting``.
+        for at, receivers in arrivals.items():
+            self._push(at, _RANK_DELIVERY, tx.seq, ("msg", receivers, tx))
+        # The deficit only rises inside one transmit, so raising it once by
+        # the delivered count leaves the observed peak unchanged.
+        self._deficit[sender] += delivered
+        self._outstanding += delivered
+        if self._outstanding > self._report.max_outstanding:
+            self._report.max_outstanding = self._outstanding
         if tx.transmitted:
             self.stats.record_retry(sender, delivered)
         elif tx.message.correction:
@@ -311,10 +325,6 @@ class AsyncScheduler:
         if window is not None and window.end is not None and window.end > rnd:
             return float(window.end)
         return self.now + self.latency.base
-
-    def _settle(self, sender: int) -> None:
-        self._deficit[sender] -= 1
-        self._outstanding -= 1
 
     # -- execution ----------------------------------------------------------
 
@@ -360,12 +370,14 @@ class AsyncScheduler:
         receiving node then runs its batch-end flush, and finally
         retransmissions and timers fire.
         """
-        inboxes: Dict[int, List[tuple]] = {}
+        inboxes: Dict[int, List[_Transmission]] = {}
         retx: List[_Transmission] = []
         timers: List[tuple] = []
         for payload in events:
             if payload[0] == "msg":
-                inboxes.setdefault(payload[1], []).append(payload)
+                tx = payload[2]
+                for v in payload[1]:
+                    inboxes.setdefault(v, []).append(tx)
             elif payload[0] == "retx":
                 retx.append(payload[1])
             else:
@@ -381,8 +393,11 @@ class AsyncScheduler:
             api = self.apis[node]
             protocol = self.protocols[node]
             up = self._node_up(node)
-            for _, _, sender, seq, tx in batch:
-                self._settle(sender)
+            for tx in batch:
+                sender = tx.message.sender
+                seq = tx.seq
+                self._deficit[sender] -= 1
+                self._outstanding -= 1
                 self._report.deliveries += 1
                 if not up:
                     # A crash outlasting the flight also swallows the ack:
@@ -466,12 +481,14 @@ class AsyncScheduler:
             if deadline is not None and time > deadline:
                 quiesced = False
                 break
-            # Pop the full same-time slice: one batch per instant.
+            # Pop the full same-time slice: one batch per instant.  Work is
+            # counted per receiver delivery, not per queue entry.
             batch: List[tuple] = []
             while self._events and self._events[0][0] == time:
-                batch.append(heapq.heappop(self._events)[4])
+                payload = heapq.heappop(self._events)[4]
+                batch.append(payload)
+                processed += len(payload[1]) if payload[0] == "msg" else 1
             self.now = time
-            processed += len(batch)
             self._process_batch(batch)
             if processed > max_events:
                 quiesced = False
